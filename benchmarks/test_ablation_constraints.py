@@ -14,7 +14,8 @@ import pytest
 
 from repro.constraints import Location
 from repro.core import BoundedModelChecker, halted_normally
-from repro.errors import Injection, RegisterFileError, prepare_injected_state
+from repro.errors import Injection, prepare_injected_state
+from repro.faults import RegisterValueFault
 from repro.machine import ExecutionConfig, Executor
 from repro.programs import factorial_workload, loop_counter_injection_pc, tcas_workload
 
@@ -41,8 +42,8 @@ def run_pruning_ablation():
 
 def count_injection_points():
     workload = tcas_workload()
-    used = len(RegisterFileError(policy="used").enumerate(workload.program))
-    every = len(RegisterFileError(policy="all").enumerate(workload.program))
+    used = len(RegisterValueFault(policy="used").enumerate(workload.program))
+    every = len(RegisterValueFault(policy="all").enumerate(workload.program))
     return used, every, len(workload.program)
 
 

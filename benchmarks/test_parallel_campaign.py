@@ -21,7 +21,7 @@ import time
 import pytest
 
 from repro.core import SymbolicCampaign, classify
-from repro.errors import RegisterFileError
+from repro.faults import RegisterValueFault
 from repro.machine import ExecutionConfig
 from repro.parallel import ParallelConfig, QuerySpec, run_campaign_parallel
 from repro.programs import factorial_workload, replace_workload, tcas_workload
@@ -45,7 +45,7 @@ def tcas_campaign():
         workload.program,
         input_values=workload.default_input,
         memory=workload.data_segment,
-        error_class=RegisterFileError(),
+        fault_model=RegisterValueFault(),
         execution_config=ExecutionConfig(max_steps=3_000,
                                          control_fork_domain="labels",
                                          max_control_forks=2_048,
@@ -67,7 +67,7 @@ def replace_campaign():
         workload.program,
         input_values=workload.default_input,
         memory=workload.data_segment,
-        error_class=RegisterFileError(),
+        fault_model=RegisterValueFault(),
         execution_config=ExecutionConfig(max_steps=40_000,
                                          control_fork_domain="labels",
                                          max_control_forks=64,

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core import (SymbolicCampaign, TaskRunner, decompose_by_code_section,
                         incorrect_output)
-from repro.errors import RegisterFileError
+from repro.faults import RegisterValueFault
 from repro.machine import ExecutionConfig
 from repro.programs import decode_output, replace_workload
 
@@ -37,7 +37,7 @@ def run_sec64_experiment():
         workload.program,
         input_values=workload.default_input,
         memory=workload.data_segment,
-        error_class=RegisterFileError(),
+        fault_model=RegisterValueFault(),
         execution_config=ExecutionConfig(max_steps=40_000,
                                          control_fork_domain="labels",
                                          max_control_forks=64,

@@ -1,34 +1,58 @@
 """TAB1 — Table 1: computation-error categories and how they are modelled.
 
 For every row of Table 1 (instruction decoder, address/data bus, functional
-unit, instruction fetch) plus the basic register/memory classes, this bench
-enumerates the category's injections on small kernels, symbolically explores
-a sample of them and confirms the modelled manifestation:
+unit, instruction fetch) plus the basic register/memory/control-flow
+categories, this bench plans the category's injections through its
+registered fault model on small kernels, symbolically explores a sample of
+them and confirms the modelled manifestation:
 
 * decode / bus / functional-unit errors surface as ``err`` in the source or
   destination registers and can corrupt the output,
 * fetch errors (corrupted PC) either land on an arbitrary valid code location
   or raise an illegal-instruction exception.
+
+The per-category counts are pinned exactly: they were measured with the
+category sweeps that preceded the fault-model registry, so the pins prove
+each port plans and explores the identical space.
 """
 
 import pytest
 
 from repro.core import SymbolicCampaign, crashed, undetected_failure
-from repro.errors import STANDARD_ERROR_CLASSES
+from repro.faults import fault_model
 from repro.machine import ExecutionConfig
 from repro.programs import (call_max_workload, memory_walk_workload,
                             sum_input_workload)
 
 
-CATEGORIES = ("register", "memory", "bus", "functional-unit", "decode",
-              "fetch", "control-flow")
+#: Table 1 category -> the registered fault model that plans it.
+CATEGORY_MODELS = {
+    "register": "register",
+    "memory": "memory",
+    "bus": "operand",
+    "functional-unit": "functional-unit",
+    "decode": "decode",
+    "fetch": "fetch",
+    "control-flow": "control",
+}
+
+#: (injections, failure states, crash states) per category.
+EXPECTED_ROWS = {
+    "register": (44, 65, 37),
+    "memory": (1, 1, 0),
+    "bus": (34, 89, 53),
+    "functional-unit": (27, 61, 30),
+    "decode": (38, 72, 34),
+    "fetch": (42, 118, 66),
+    "control-flow": (10, 25, 15),
+}
 
 
 def run_category_sweeps():
     workloads = [sum_input_workload(), memory_walk_workload(), call_max_workload()]
     rows = []
-    for category in CATEGORIES:
-        error_class = STANDARD_ERROR_CLASSES[category]
+    for category, model_name in CATEGORY_MODELS.items():
+        model = fault_model(model_name)
         injections_total = 0
         failures = 0
         crashes = 0
@@ -38,7 +62,7 @@ def run_category_sweeps():
                 workload.program,
                 input_values=workload.default_input,
                 memory=workload.data_segment,
-                error_class=error_class,
+                fault_model=model,
                 execution_config=ExecutionConfig(
                     max_steps=workload.recommended_max_steps,
                     control_fork_domain="labels"),
@@ -55,22 +79,18 @@ def run_category_sweeps():
 
 
 @pytest.mark.benchmark(group="table1")
-def test_table1_error_category_coverage(benchmark):
+def test_table1_category_coverage(benchmark):
     rows = benchmark.pedantic(run_category_sweeps, rounds=1, iterations=1)
 
     by_category = {row[0]: row for row in rows}
     # Every category of Table 1 is expressible and enumerable.
-    assert set(by_category) == set(CATEGORIES)
-    # Every category produces at least one injection on the kernels, and each
-    # manifests as an undetected failure somewhere (the kernels carry no
-    # detectors, so activated errors must surface as failures or be benign).
-    for category, injections_total, failures, crashes in rows:
-        assert injections_total > 0, category
-        assert failures > 0, category
-    # Fetch/control-flow errors must include crash manifestations
-    # (illegal-instruction exceptions), as modelled in Table 1.
-    assert by_category["fetch"][3] > 0
-    assert by_category["control-flow"][3] > 0
+    assert set(by_category) == set(CATEGORY_MODELS)
+    # Every category produces injections on the kernels and each manifests
+    # as undetected failures (the kernels carry no detectors); fetch and
+    # control-flow errors include crash manifestations (illegal-instruction
+    # exceptions), as modelled in Table 1.
+    assert {category: row[1:] for category, row in by_category.items()} \
+        == EXPECTED_ROWS
 
     print("\n[TAB1] error-category coverage over three kernels "
           "(20 injections per kernel per category)")

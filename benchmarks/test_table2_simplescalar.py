@@ -43,6 +43,12 @@ def test_table2_concrete_fault_injection_distribution(benchmark):
     distribution = result.distribution
 
     assert result.total_faults > 500
+    # Pinned exactly: the value-carrying spec planner reproduces the
+    # distribution of the per-value injection loop it replaced.
+    assert result.total_faults == 636
+    assert {label: distribution.count(label) for label
+            in ("0", "1", "2", "other", "crash", "hang")} \
+        == {"0": 39, "1": 334, "2": 0, "other": 5, "crash": 258, "hang": 0}
 
     # Paper shape: the catastrophic advisory (2) is never produced by
     # value-based injection.

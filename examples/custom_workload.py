@@ -1,22 +1,21 @@
 #!/usr/bin/env python3
-"""Bring your own workload: minic, MIPS, detectors and error categories.
+"""Bring your own workload: minic, MIPS, detectors and fault models.
 
 This example shows the full tool surface for a user-supplied program:
 
 * compile a small minic program (a saturating sensor filter) to the
   SymPLFIED ISA,
 * attach detectors written in the paper's ``det(...)`` format,
-* use the query generator to sweep the pre-defined error categories of
-  Table 1 (register, bus, functional-unit, decode, fetch, control-flow), and
+* sweep Table 1's error categories (register, bus, functional-unit, fetch)
+  through the fault models that plan them, with a generated query, and
 * translate a MIPS snippet with the MIPS front-end and analyse it the same way.
 
 Run with:  python examples/custom_workload.py
 """
 
-from repro.core import SymbolicCampaign
 from repro.detectors import DetectorSet
-from repro.errors import STANDARD_ERROR_CLASSES
-from repro.frontend import generate, translate_mips
+from repro.faults import FAULT_MODELS
+from repro.frontend import translate_mips
 from repro.lang import compile_source
 from repro.machine import ExecutionConfig
 from repro.programs.base import Workload
@@ -57,6 +56,10 @@ SENSOR_DETECTORS = """
 det(1, *(1001), <=, *(1000) * (1000))
 """
 
+#: Table 1 category -> the registered fault model that plans it.
+TABLE1_MODELS = {"register": "register", "bus": "operand",
+                 "functional-unit": "functional-unit", "fetch": "fetch"}
+
 MIPS_SNIPPET = """
 # absolute difference of two inputs
         read $a0
@@ -72,21 +75,9 @@ done:   print $t0
 def analyse(workload: Workload, label: str) -> None:
     print(f"--- {label}: {len(workload.program)} instructions, "
           f"golden output {workload.golden_output()} ---")
-    golden = workload.golden_output()
-    for category in ("register", "bus", "functional-unit", "fetch"):
-        # The query generator pairs the outcome query with a Table 1 error
-        # class; building the campaign from that pair is the supported way
-        # to sweep the legacy categories (generate_campaign's error_category=
-        # keyword is deprecated in favour of fault models).
-        generated = generate("undetected-failure", category,
-                             golden_output=golden)
-        query = generated.query
-        campaign = SymbolicCampaign(
-            workload.program,
-            input_values=workload.default_input,
-            memory=workload.data_segment,
-            detectors=workload.detectors,
-            error_class=generated.error_class,
+    for category, model in TABLE1_MODELS.items():
+        campaign, query = workload.campaign(
+            kind="undetected-failure", fault_model=model,
             execution_config=ExecutionConfig(
                 max_steps=workload.recommended_max_steps,
                 control_fork_domain="labels"),
@@ -124,8 +115,7 @@ def main() -> None:
         recommended_max_steps=200)
     analyse(absdiff, "MIPS snippet translated by the front-end")
 
-    print("available pre-defined error categories:",
-          ", ".join(sorted(STANDARD_ERROR_CLASSES)))
+    print("available fault models:", ", ".join(sorted(FAULT_MODELS)))
 
 
 if __name__ == "__main__":

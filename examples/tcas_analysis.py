@@ -20,7 +20,7 @@ from repro.concrete import ConcreteCampaign, printed_value_labeler
 from repro.constraints import Location
 from repro.core import (SymbolicCampaign, TaskRunner, Witness,
                         decompose_by_code_section, printed_value_other_than)
-from repro.errors import RegisterFileError
+from repro.faults import RegisterValueFault
 from repro.machine import ExecutionConfig
 from repro.programs import tcas_workload
 
@@ -30,7 +30,7 @@ def build_campaign(workload):
         workload.program,
         input_values=workload.default_input,
         memory=workload.data_segment,
-        error_class=RegisterFileError(),
+        fault_model=RegisterValueFault(),
         execution_config=ExecutionConfig(max_steps=3_000,
                                          control_fork_domain="labels",
                                          max_control_forks=2_048,

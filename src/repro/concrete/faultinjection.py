@@ -8,19 +8,24 @@ reproduces that campaign on top of the concrete simulator:
 
 * :class:`ValuePolicy` decides which concrete values are injected per
   location (extreme values + seeded random values, as in the paper);
-* :class:`ConcreteCampaign` sweeps the injection points, runs every
-  experiment and accumulates an outcome distribution (Table 2).
+* :class:`ConcreteCampaign` plans one value-carrying
+  :class:`~repro.faults.spec.FaultSpec` per (register injection point,
+  value), runs each through :meth:`~repro.concrete.simulator.
+  ConcreteSimulator.run_with_spec` and accumulates an outcome distribution
+  (Table 2).
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..detectors import DetectorSet, EMPTY_DETECTORS
-from ..errors.injector import Injection, _register_injection_points
+from ..errors.injector import Injection
+from ..faults.models import RegisterValueFault
+from ..faults.spec import FaultSpec
 from ..isa.program import Program
 from .simulator import ConcreteSimulator
 from .stats import OutcomeDistribution, OutcomeLabeler, printed_value_labeler
@@ -58,8 +63,8 @@ class ValuePolicy:
 class ConcreteExperiment:
     """One executed concrete fault-injection experiment."""
 
-    injection: Injection
-    value: int
+    #: The executed spec; its ``value`` is the concrete value injected.
+    injection: FaultSpec
     label: str
     activated: bool
 
@@ -112,46 +117,42 @@ class ConcreteCampaign:
         self.simulator = ConcreteSimulator(program, detectors, max_steps=max_steps)
 
     def enumerate_injections(self,
-                             pcs: Optional[Sequence[int]] = None) -> List[Injection]:
-        """Register injections at every instruction (or the subset *pcs*)."""
-        return _register_injection_points(self.program,
-                                          policy=self.register_policy, pcs=pcs)
+                             pcs: Optional[Sequence[int]] = None) -> List[FaultSpec]:
+        """Register injection points at every instruction (or the subset *pcs*)."""
+        return RegisterValueFault(policy=self.register_policy).enumerate(
+            self.program, pcs=pcs)
 
-    def planned_experiments(self,
-                            injections: Optional[Sequence[Injection]] = None
-                            ) -> int:
-        """Number of (injection, value) experiments the campaign would run."""
+    def plan(self, injections: Optional[Sequence[FaultSpec]] = None
+             ) -> List[FaultSpec]:
+        """One spec per (injection point, value of the value policy)."""
         if injections is None:
             injections = self.enumerate_injections()
-        return sum(len(self.value_policy.values_for(injection))
-                   for injection in injections)
+        return [replace(injection, value=value) for injection in injections
+                for value in self.value_policy.values_for(injection)]
 
-    def run(self, injections: Optional[Sequence[Injection]] = None,
+    def planned_experiments(self,
+                            injections: Optional[Sequence[FaultSpec]] = None
+                            ) -> int:
+        """Number of (injection, value) experiments the campaign would run."""
+        return len(self.plan(injections))
+
+    def run(self, injections: Optional[Sequence[FaultSpec]] = None,
             keep_experiments: bool = True,
             max_experiments: Optional[int] = None) -> ConcreteCampaignResult:
         """Run the campaign and build the outcome distribution."""
         start = time.monotonic()
-        if injections is None:
-            injections = self.enumerate_injections()
         distribution = OutcomeDistribution(labels=self.outcome_labels)
         result = ConcreteCampaignResult(distribution=distribution)
-        executed = 0
-        for injection in injections:
-            for value in self.value_policy.values_for(injection):
-                if max_experiments is not None and executed >= max_experiments:
-                    result.elapsed_seconds = time.monotonic() - start
-                    return result
-                run = self.simulator.run_with_injection(
-                    injection, value, self.input_values, self.memory)
-                executed += 1
-                if not run.activated:
-                    result.skipped += 1
-                    continue
-                label = self.labeler(run.state)
-                distribution.record(label)
-                if keep_experiments:
-                    result.experiments.append(ConcreteExperiment(
-                        injection=injection, value=value, label=label,
-                        activated=run.activated))
+        for spec in self.plan(injections)[:max_experiments]:
+            run = self.simulator.run_with_spec(spec, self.input_values,
+                                               self.memory)
+            if not run.activated:
+                result.skipped += 1
+                continue
+            label = self.labeler(run.state)
+            distribution.record(label)
+            if keep_experiments:
+                result.experiments.append(ConcreteExperiment(
+                    injection=spec, label=label, activated=run.activated))
         result.elapsed_seconds = time.monotonic() - start
         return result

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..detectors import DetectorSet, EMPTY_DETECTORS
-from ..errors.injector import Injection, apply_corruption
+from ..errors.injector import Injection
 from ..isa.program import Program
 from ..machine.decode import decoded_program
-from ..machine.executor import run_concrete, run_concrete_until
+from ..machine.executor import apply_fault_set, run_concrete, run_concrete_until
 from ..machine.state import MachineState, Status, initial_state
 from ..core.outcomes import Outcome, classify
 
@@ -29,7 +29,6 @@ class ConcreteRun:
 
     state: MachineState
     injection: Optional[Injection] = None
-    injected_value: Optional[int] = None
     activated: bool = True
 
     @property
@@ -75,41 +74,22 @@ class ConcreteSimulator:
                 f"({run.state.exception})")
         return run.output
 
-    def run_with_injection(self, injection: Injection, value: int,
-                           input_values: Sequence[int] = (),
-                           memory: Optional[Dict[int, int]] = None) -> ConcreteRun:
-        """Inject a concrete *value* at the injection point and run to the end.
-
-        Mirrors the augmented SimpleScalar flow: execute to the breakpoint,
-        overwrite the target, continue.  If the breakpoint is never reached
-        the run is reported with ``activated=False`` (the fault is latent).
-        """
-        state = self.fresh_state(input_values, memory)
-        run_concrete_until(self.program, state, injection.breakpoint_pc,
-                           occurrence=injection.occurrence,
-                           detectors=self.detectors, max_steps=self.max_steps)
-        activated = state.is_running and state.pc == injection.breakpoint_pc
-        if activated:
-            apply_corruption(state, injection.target, value)
-            run_concrete(self.program, state, self.detectors, self.max_steps)
-        return ConcreteRun(state=state, injection=injection,
-                           injected_value=value, activated=activated)
-
     def run_with_spec(self, spec: Injection,
                       input_values: Sequence[int] = (),
                       memory: Optional[Dict[int, int]] = None) -> ConcreteRun:
-        """Run one planned fault spec concretely.
+        """Run one planned fault spec concretely to termination.
 
-        Unlike :meth:`run_with_injection`, the value written is whatever the
-        spec itself prescribes: a burst applies every component, a bit-flip
-        spec reads the live target and XORs ``1 << bit`` into it, a plain
-        :class:`~repro.faults.FaultSpec` writes its ``value``.  The spec is
-        applied through :func:`~repro.machine.executor.apply_fault_set` —
-        the same code path the symbolic campaign uses — so parity studies
-        compare identical corruptions, not merely identical addresses.
+        Mirrors the augmented SimpleScalar flow: execute to the breakpoint,
+        corrupt, continue.  The value written is whatever the spec itself
+        prescribes: a plain :class:`~repro.faults.FaultSpec` writes its
+        ``value``, a burst applies every component, a bit-flip spec reads
+        the live target and XORs ``1 << bit`` into it.  The spec is applied
+        through :func:`~repro.machine.executor.apply_fault_set` — the same
+        code path the symbolic campaign uses — so parity studies compare
+        identical corruptions, not merely identical addresses.  If the
+        breakpoint is never reached the run is reported with
+        ``activated=False`` (the fault is latent).
         """
-        from ..machine.executor import apply_fault_set
-
         state = self.fresh_state(input_values, memory)
         run_concrete_until(self.program, state, spec.breakpoint_pc,
                            occurrence=spec.occurrence,

@@ -1,22 +1,13 @@
-"""Error model: the err symbol, propagation, comparisons, injection, error classes."""
+"""Error model: the err symbol, propagation, comparisons and injection."""
 
 from .propagation import (IMMEDIATE_ALIASES, NonDeterministicOperation,
                           concrete_binary, symbolic_binary, unary_result)
 from .comparison import ComparisonOutcome, resolve_comparison
-from .injector import (Injection, InjectionError, apply_corruption,
-                       prepare_injected_state, register_injection_points,
-                       registers_used_at)
-from .models import (BusError, ControlFlowError, DecodeError, ErrorClass,
-                     FetchError, FunctionalUnitError, MemoryError,
-                     RegisterFileError, STANDARD_ERROR_CLASSES, error_class)
+from .injector import Injection, prepare_injected_state, registers_used_at
 
 __all__ = [
     "IMMEDIATE_ALIASES", "NonDeterministicOperation", "concrete_binary",
     "symbolic_binary", "unary_result",
     "ComparisonOutcome", "resolve_comparison",
-    "Injection", "InjectionError", "apply_corruption", "prepare_injected_state",
-    "register_injection_points", "registers_used_at",
-    "BusError", "ControlFlowError", "DecodeError", "ErrorClass", "FetchError",
-    "FunctionalUnitError", "MemoryError", "RegisterFileError",
-    "STANDARD_ERROR_CLASSES", "error_class",
+    "Injection", "prepare_injected_state", "registers_used_at",
 ]

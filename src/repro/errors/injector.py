@@ -12,14 +12,12 @@ substitute, with a chosen concrete value).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from ..constraints import Location
 from ..isa.instructions import ZERO_REGISTER
 from ..isa.program import Program
-from ..isa.values import ERR, Value
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports (avoid an import cycle)
     from ..detectors import DetectorSet
@@ -50,27 +48,9 @@ class Injection:
                 + (f" ({self.description})" if self.description else ""))
 
 
-class InjectionError(RuntimeError):
-    """Raised when an injection cannot be applied (e.g. breakpoint not reached)."""
-
-
-def apply_corruption(state: MachineState, target: Location, value: Value) -> None:
-    """Corrupt *target* in *state* with *value* (``ERR`` or a concrete int).
-
-    Delegates to :func:`~repro.machine.executor.apply_fault`, the single
-    CoW write path shared with the fault-model subsystem (:mod:`repro.
-    faults`), so every corruption maintains the state's incremental
-    fingerprints the same way.
-    """
-    from ..machine.executor import apply_fault
-
-    apply_fault(state, target.kind, target.index, value)
-
-
 def prepare_injected_state(program: Program,
                            injection: Injection,
                            initial: "MachineState",
-                           value: Value = ERR,
                            detectors: Optional["DetectorSet"] = None,
                            max_prefix_steps: int = 200_000,
                            ) -> Optional["MachineState"]:
@@ -81,12 +61,11 @@ def prepare_injected_state(program: Program,
     execution (the fault would never be activated — the paper skips such
     experiments).
 
-    Multi-error and read-modify-write specs are recognised structurally:
-    an injection carrying ``components`` (a burst) or a ``bit`` (a concrete
-    bit flip) is applied through
-    :func:`~repro.machine.executor.apply_fault_set`, which writes every
-    corruption of the experiment through the same CoW path; everything
-    else writes *value* into the single target as before.
+    The corruption goes through
+    :func:`~repro.machine.executor.apply_fault_set`, the one CoW write path
+    every fault shares: a :class:`~repro.faults.spec.FaultSpec` writes its
+    own ``value`` (a burst every component, a bit flip its flipped word),
+    and a plain :class:`Injection` writes the symbolic ``err``.
     """
     from ..detectors import EMPTY_DETECTORS
     from ..machine.executor import apply_fault_set, run_concrete_until
@@ -98,11 +77,7 @@ def prepare_injected_state(program: Program,
                        max_steps=max_prefix_steps)
     if not state.is_running or state.pc != injection.breakpoint_pc:
         return None
-    if (getattr(injection, "components", None)
-            or getattr(injection, "bit", None) is not None):
-        apply_fault_set(state, (injection,))
-    else:
-        apply_corruption(state, injection.target, value)
+    apply_fault_set(state, (injection,))
     return state
 
 
@@ -128,42 +103,3 @@ def registers_used_at(program: Program, pc: int, policy: str = "used") -> Tuple[
     else:
         raise ValueError(f"unknown register policy {policy!r}")
     return tuple(r for r in registers if r != ZERO_REGISTER)
-
-
-def register_injection_points(program: Program,
-                              policy: str = "used",
-                              pcs: Optional[Sequence[int]] = None,
-                              ) -> List[Injection]:
-    """Enumerate register-error injections following the paper's optimisation.
-
-    .. deprecated:: plan sweeps through the pluggable fault subsystem instead
-       (``repro.faults.FAULT_MODELS["register"]`` /
-       :class:`~repro.faults.models.RegisterValueFault`), which produces the
-       same plan and also covers memory/control/operand models.
-    """
-    warnings.warn(
-        "register_injection_points() is deprecated; plan sweeps through "
-        "repro.faults (fault_model=\"register\" / RegisterValueFault) instead",
-        DeprecationWarning, stacklevel=2)
-    return _register_injection_points(program, policy=policy, pcs=pcs)
-
-
-def _register_injection_points(program: Program,
-                               policy: str = "used",
-                               pcs: Optional[Sequence[int]] = None,
-                               ) -> List[Injection]:
-    """Enumerate register-error injections following the paper's optimisation.
-
-    For every static instruction (or the subset *pcs*), one injection per
-    register used by that instruction, placed immediately before the
-    instruction so that the fault is activated.
-    """
-    injections: List[Injection] = []
-    addresses = range(len(program)) if pcs is None else pcs
-    for pc in addresses:
-        for register in registers_used_at(program, pc, policy):
-            injections.append(Injection(
-                breakpoint_pc=pc,
-                target=Location.register(register),
-                description=f"register ${register} at {program.source_line(pc)}"))
-    return injections

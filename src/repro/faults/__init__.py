@@ -8,11 +8,13 @@ Public surface:
 * :class:`BurstFaultSpec` / :class:`BitFlipFaultSpec` — composite and
   concrete-bit-flip specs: an ordered tuple of simultaneous component
   faults, and a read-modify-write single-bit corruption;
-* :class:`FaultModel` and the six concrete models —
+* :class:`FaultModel` and the nine concrete models —
   :class:`RegisterValueFault`, :class:`MemoryCellFault`,
   :class:`ControlFlowFault`, :class:`InstructionOperandFault`,
-  :class:`BurstFault` (k simultaneous faults per experiment) and
-  :class:`BitFlipFault` (the Monte-Carlo leg of the parity study);
+  :class:`FunctionalUnitFault`, :class:`DecodeFault`, :class:`FetchFault`
+  (together the rows of the paper's Table 1), :class:`BurstFault` (k
+  simultaneous faults per experiment) and :class:`BitFlipFault` (the
+  Monte-Carlo leg of the parity study);
 * :data:`FAULT_MODELS` / :func:`fault_model` — the registry behind
   ``repro analyze --fault-model``;
 * :func:`deterministic_sample` — seed-deterministic subsetting of an
@@ -24,13 +26,15 @@ picklable, register, and what the carriers guarantee — is
 """
 
 from .models import (FAULT_MODELS, BitFlipFault, BurstFault, ControlFlowFault,
-                     FaultModel, InstructionOperandFault, MemoryCellFault,
+                     DecodeFault, FaultModel, FetchFault, FunctionalUnitFault,
+                     InstructionOperandFault, MemoryCellFault,
                      RegisterValueFault, deterministic_sample, fault_model)
 from .spec import BitFlipFaultSpec, BurstFaultSpec, FaultSpec
 
 __all__ = [
     "FAULT_MODELS", "BitFlipFault", "BitFlipFaultSpec", "BurstFault",
-    "BurstFaultSpec", "ControlFlowFault", "FaultModel", "FaultSpec",
+    "BurstFaultSpec", "ControlFlowFault", "DecodeFault", "FaultModel",
+    "FaultSpec", "FetchFault", "FunctionalUnitFault",
     "InstructionOperandFault", "MemoryCellFault", "RegisterValueFault",
     "deterministic_sample", "fault_model",
 ]

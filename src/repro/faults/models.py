@@ -8,19 +8,25 @@ a program (every :class:`~repro.faults.spec.FaultSpec` of its class) or
 *samples* a deterministic subset under a seed, and the campaign plans its
 sweep from whichever model it is given.
 
-Six concrete models ship here, selected on the CLI by
-``repro analyze --fault-model
-{register,memory,control,operand,burst,bitflip}``:
+Nine concrete models ship here, selected on the CLI by
+``repro analyze --fault-model NAME``.  Together they cover every row of the
+paper's Table 1 (register, memory, bus, decoder, functional-unit, fetch and
+control-flow errors; ``docs/fault-models.md`` maps each row to its model):
 
 * :class:`RegisterValueFault` — ``err`` in a register used by each
-  instruction (the paper's Section 6 campaign, extracted from the old
-  fixed sweep);
+  instruction (the paper's Section 6 campaign);
 * :class:`MemoryCellFault` — ``err`` in a data-segment memory word,
   placed just before each load so the corruption can be consumed;
 * :class:`ControlFlowFault` — a corrupted program counter at
   control-transfer instructions (branch/jump/call targets);
 * :class:`InstructionOperandFault` — ``err`` in the source operands an
-  instruction reads (bus/decode-style operand corruption);
+  instruction reads (Table 1's address/data bus row);
+* :class:`FunctionalUnitFault` — ``err`` in the registers an instruction
+  writes, right after it executes;
+* :class:`DecodeFault` — a mis-decoded instruction: ``err`` in its
+  destinations, or in its sources when it has none;
+* :class:`FetchFault` — a corrupted program counter before every
+  instruction;
 * :class:`BurstFault` — *k* simultaneous corruptions per experiment
   (the paper's multi-error extension), composed from the base models'
   spaces into :class:`~repro.faults.spec.BurstFaultSpec` tuples;
@@ -180,8 +186,7 @@ class MemoryCellFault(FaultModel):
     fall back to corrupting each load's destination register right after
     the load — equivalent to an error on the memory/cache bus feeding it.
 
-    Caveat (shared with the legacy ``MemoryError`` class this extracts):
-    the bus fallback breaks at the first dynamic arrival at ``pc + 1``,
+    Caveat: the bus fallback breaks at the first dynamic arrival at ``pc + 1``,
     which for a load whose successor is also a branch target may happen
     before the load ever executes — the injection then degenerates to a
     plain register error; and when ``pc + 1`` is never reached the
@@ -255,7 +260,7 @@ class ControlFlowFault(FaultModel):
 class InstructionOperandFault(RegisterValueFault):
     """``err`` in the source operands an instruction reads.
 
-    Operand corruption on the read path (Table 1's bus/decode rows):
+    Operand corruption on the read path (Table 1's address/data bus row):
     the register sweep restricted to each instruction's *read* operands,
     corrupted immediately before the instruction executes so the wrong
     operand is guaranteed to be consumed.
@@ -266,6 +271,83 @@ class InstructionOperandFault(RegisterValueFault):
 
     def _description(self, register: int) -> str:
         return f"operand ${register} corrupted"
+
+
+@dataclass(frozen=True)
+class FunctionalUnitFault(FaultModel):
+    """A functional unit computes a wrong result (Table 1).
+
+    ``err`` lands in every (non-zero) register the instruction writes,
+    placed right after the instruction (``pc + 1``) so the corrupted
+    output is what the rest of the program sees.
+    """
+
+    name = "functional-unit"
+
+    def enumerate(self, program: Program,
+                  memory: Optional[Dict[int, int]] = None,
+                  pcs: Optional[Sequence[int]] = None) -> List[FaultSpec]:
+        specs: List[FaultSpec] = []
+        for pc in self._addresses(program, pcs):
+            for register in registers_used_at(program, pc, "writes"):
+                specs.append(FaultSpec(
+                    breakpoint_pc=pc + 1, target=Location.register(register),
+                    description="functional unit output error",
+                    model=self.name))
+        return specs
+
+
+@dataclass(frozen=True)
+class DecodeFault(FaultModel):
+    """The instruction decoder turns one instruction into another (Table 1).
+
+    Table 1 models the sub-cases through ``err`` in the original and/or
+    new destination: an instruction that writes registers gets ``err`` in
+    each of them right after it executes (``pc + 1``); one without a
+    destination gets ``err`` in the registers it reads, just before it
+    executes (a wrongly introduced target).
+    """
+
+    name = "decode"
+
+    def enumerate(self, program: Program,
+                  memory: Optional[Dict[int, int]] = None,
+                  pcs: Optional[Sequence[int]] = None) -> List[FaultSpec]:
+        specs: List[FaultSpec] = []
+        for pc in self._addresses(program, pcs):
+            registers = registers_used_at(program, pc, "writes")
+            if registers:
+                site = pc + 1
+                description = "decode error: original/new target corrupted"
+            else:
+                registers = registers_used_at(program, pc, "reads")
+                site = pc
+                description = "decode error: wrong target introduced"
+            for register in registers:
+                specs.append(FaultSpec(
+                    breakpoint_pc=site, target=Location.register(register),
+                    description=description, model=self.name))
+        return specs
+
+
+@dataclass(frozen=True)
+class FetchFault(FaultModel):
+    """The instruction-fetch mechanism corrupts the PC (Table 1).
+
+    The PC becomes ``err`` just before every instruction, so the symbolic
+    executor forks to arbitrary valid code locations or raises an
+    illegal-instruction exception.
+    """
+
+    name = "fetch"
+
+    def enumerate(self, program: Program,
+                  memory: Optional[Dict[int, int]] = None,
+                  pcs: Optional[Sequence[int]] = None) -> List[FaultSpec]:
+        return [FaultSpec(breakpoint_pc=pc, target=Location.pc(),
+                          description="instruction fetch error (corrupted PC)",
+                          model=self.name)
+                for pc in self._addresses(program, pcs)]
 
 
 @dataclass(frozen=True)
@@ -377,6 +459,9 @@ FAULT_MODELS: Dict[str, FaultModel] = {
     "memory": MemoryCellFault(),
     "control": ControlFlowFault(),
     "operand": InstructionOperandFault(),
+    "functional-unit": FunctionalUnitFault(),
+    "decode": DecodeFault(),
+    "fetch": FetchFault(),
     "burst": BurstFault(),
     "bitflip": BitFlipFault(),
 }

@@ -4,21 +4,19 @@ The paper ships a query generator so that programmers can explore the
 behaviour of a program under *pre-defined* hardware error categories without
 writing any formal specifications.  :func:`generate_query` builds the search
 query (the predicate over final states) and :func:`generate_campaign` couples
-it with the corresponding error class, producing a ready-to-run
+it with a fault model from the :mod:`repro.faults` registry (whose models
+cover the paper's Table 1 categories), producing a ready-to-run
 :class:`~repro.core.campaign.SymbolicCampaign` for a workload.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 from ..core.campaign import SymbolicCampaign
 from ..core.queries import (SearchQuery, any_outcome, crashed, hung,
                             incorrect_output, latent_err, output_contains_err,
                             printed_value_other_than, undetected_failure)
-from ..errors.models import ErrorClass, error_class
 from ..faults.models import FaultModel
 from ..faults.models import fault_model as resolve_fault_model
 from ..machine.executor import ExecutionConfig
@@ -36,20 +34,6 @@ QUERY_KINDS: Tuple[str, ...] = (
     "latent-err",           # err persists somewhere in the final state
     "any-outcome",          # every terminal state (the parity-study census)
 )
-
-
-@dataclass(frozen=True)
-class GeneratedQuery:
-    """A generated query plus the error class it is meant to sweep."""
-
-    query: SearchQuery
-    error_class: ErrorClass
-    kind: str
-    error_class_name: str
-
-    def describe(self) -> str:
-        return (f"search for `{self.query.description}` under "
-                f"{self.error_class_name} errors")
 
 
 def generate_query(kind: str,
@@ -81,19 +65,8 @@ def generate_query(kind: str,
     raise ValueError(f"unknown query kind {kind!r}; available: {QUERY_KINDS}")
 
 
-def generate(kind: str, error_category: str = "register",
-             golden_output: Optional[Sequence] = None,
-             expected_value: Optional[int] = None) -> GeneratedQuery:
-    """Generate a (query, error class) pair from pre-defined categories."""
-    query = generate_query(kind, golden_output=golden_output,
-                           expected_value=expected_value)
-    return GeneratedQuery(query=query, error_class=error_class(error_category),
-                          kind=kind, error_class_name=error_category)
-
-
 def generate_campaign(workload: Workload,
                       kind: str = "wrong-final-value",
-                      error_category: Optional[str] = None,
                       fault_model: Optional[Union[str, FaultModel]] = None,
                       expected_value: Optional[int] = None,
                       execution_config: Optional[ExecutionConfig] = None,
@@ -102,27 +75,16 @@ def generate_campaign(workload: Workload,
 
     ``expected_value`` defaults to the last integer printed by the golden run
     (which is what the tcas experiment uses).  *fault_model* — a
-    :class:`~repro.faults.models.FaultModel` or a registry name
-    (``"register"``, ``"memory"``, ``"control"``, ``"operand"``) — plans
-    the sweep through the pluggable fault subsystem.
-
-    .. deprecated:: passing *error_category* explicitly is deprecated in
-       favour of *fault_model* (the :mod:`repro.faults` registry is the one
-       planner); leaving it ``None`` keeps the historical register sweep.
+    :class:`~repro.faults.models.FaultModel` or a registry name (e.g.
+    ``"register"``, ``"memory"``, ``"fetch"``) — plans the sweep; the
+    default is the paper's register sweep.
     """
-    if error_category is not None:
-        warnings.warn(
-            "error_category= is deprecated; plan sweeps with fault_model= "
-            "(the repro.faults registry, e.g. fault_model=\"register\") "
-            "instead", DeprecationWarning, stacklevel=2)
-    else:
-        error_category = "register"
     golden = workload.golden_output()
     if expected_value is None:
         printed = [item for item in golden if isinstance(item, int)]
         expected_value = printed[-1] if printed else None
-    generated = generate(kind, error_category, golden_output=golden,
-                         expected_value=expected_value)
+    query = generate_query(kind, golden_output=golden,
+                           expected_value=expected_value)
     if isinstance(fault_model, str):
         fault_model = resolve_fault_model(fault_model)
     config = execution_config or ExecutionConfig(
@@ -132,9 +94,8 @@ def generate_campaign(workload: Workload,
         input_values=workload.default_input,
         memory=workload.data_segment,
         detectors=workload.detectors,
-        error_class=generated.error_class,
         fault_model=fault_model,
         execution_config=config,
         isa=workload.isa,
         **campaign_options)
-    return campaign, generated.query
+    return campaign, query

@@ -7,26 +7,19 @@ from typing import Optional
 
 from .codegen import CodeGenerator, CompiledProgram
 from .parser import parse_source
-from .peephole import peephole_compiled, peephole_enabled_by_env
 
 
 def compile_source(source: str, name: str = "minic",
                    entry_function: str = "main",
-                   peephole: Optional[bool] = None,
                    isa: Optional[str] = None) -> CompiledProgram:
     """Compile minic *source* into a SymPLFIED program plus its data segment.
-
-    *peephole* selects the conservative post-codegen cleanup pass
-    (:mod:`repro.lang.peephole`); ``None`` defers to the ``REPRO_PEEPHOLE``
-    environment variable, which defaults to off — campaigns must stay
-    byte-identical across the switch before it may be defaulted on.
 
     *isa* retargets the compiled program through a registered
     :class:`~repro.isa.registry.IsaFrontend` (``"mips"``, ``"rv32im"``, ...):
     the program is emitted as that ISA's assembly and translated back, so its
     provenance (source lines) is that ISA's while the instruction sequence,
     labels and function map stay identical — every minic workload compiles
-    for every registered ISA.  Applied after the peephole pass.
+    for every registered ISA.
 
     Raises :class:`~repro.lang.lexer.LexerError`,
     :class:`~repro.lang.parser.ParseError` or
@@ -37,10 +30,6 @@ def compile_source(source: str, name: str = "minic",
     generator = CodeGenerator(unit, name=name, entry_function=entry_function)
     compiled = generator.compile()
     compiled.source = source
-    if peephole is None:
-        peephole = peephole_enabled_by_env()
-    if peephole:
-        compiled, _stats = peephole_compiled(compiled)
     if isa is not None:
         from ..isa.registry import get_frontend
 

@@ -72,26 +72,18 @@ class Workload:
 
     def campaign(self, kind: str = "err-output",
                  fault_model=None,
-                 error_category: Optional[str] = None,
                  expected_value: Optional[int] = None,
                  execution_config=None,
                  **campaign_options):
         """A ready-to-run ``(SymbolicCampaign, SearchQuery)`` for this workload.
 
         *fault_model* — a :class:`~repro.faults.models.FaultModel` or a
-        registry name (``"register"``, ``"memory"``, ``"control"``,
-        ``"operand"``) — plans the sweep through the pluggable fault
-        subsystem.
-
-        .. deprecated:: passing *error_category* explicitly is deprecated;
-           the legacy category sweep is subsumed by the fault-model registry
-           (``fault_model="register"`` etc.).  Omitting both keeps the
-           historical register sweep.
+        registry name (e.g. ``"register"``, ``"memory"``, ``"fetch"``) —
+        plans the sweep; the default is the paper's register sweep.
         """
         from ..frontend.querygen import generate_campaign
 
         return generate_campaign(self, kind=kind,
-                                 error_category=error_category,
                                  fault_model=fault_model,
                                  expected_value=expected_value,
                                  execution_config=execution_config,

@@ -8,10 +8,8 @@ the previous product so the second detector can validate the multiplication.
 
 from __future__ import annotations
 
-
 from ..detectors import DetectorSet
 from ..isa.parser import assemble
-from ..lang.peephole import peephole_enabled_by_env, peephole_program
 from .base import Workload
 
 
@@ -74,11 +72,6 @@ det(2, $(2), >=, $(6) * (2))
 def factorial_workload(default_input: int = 5) -> Workload:
     """The Figure 2 program, reading *default_input* by default."""
     program = assemble(FACTORIAL_SOURCE, name="factorial")
-    if peephole_enabled_by_env():
-        # Same switch as the minic workloads: the assembled program runs
-        # through the (conservative, currently no-op here) peephole pass so
-        # the ``--expect-identical`` peephole variant exercises it too.
-        program, _stats = peephole_program(program)
     return Workload(
         name="factorial",
         program=program,

@@ -431,10 +431,9 @@ def _sweep_argv(args: argparse.Namespace) -> List[str]:
     return argv
 
 
-def _run_analyze(argv: List[str], timeout: float,
-                 env: Optional[Dict[str, str]] = None) -> str:
+def _run_analyze(argv: List[str], timeout: float) -> str:
     completed = subprocess.run(argv, capture_output=True, text=True,
-                               timeout=timeout, env=env)
+                               timeout=timeout)
     if completed.returncode != 0:
         raise RuntimeError(f"analyze failed (exit {completed.returncode}): "
                            f"{' '.join(argv)}\n{completed.stderr}")
@@ -447,14 +446,6 @@ def _run_variant(variant: str, args: argparse.Namespace, scratch: str,
     base = _sweep_argv(args)
     if variant == "serial":
         return _run_analyze(base, timeout)
-    if variant == "peephole":
-        # Serial sweep with the peephole pass enabled: the campaign output
-        # must stay byte-identical before the pass may be defaulted on
-        # (see repro.lang.peephole).
-        from ..lang.peephole import PEEPHOLE_ENV_VAR
-        env = dict(os.environ)
-        env[PEEPHOLE_ENV_VAR] = "1"
-        return _run_analyze(base, timeout, env=env)
     if variant == "pool":
         return _run_analyze(base + ["--backend", "pool", "--workers", "2"],
                             timeout)
@@ -557,7 +548,7 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backends", default="pool,distributed",
                         help="comma-separated variants for "
                              "--expect-identical: pool, distributed, "
-                             "results, peephole, tcp, tcp-task, tcp-kill")
+                             "results, tcp, tcp-task, tcp-kill")
     parser.add_argument("--workload", default="factorial",
                         help="workload for --expect-identical")
     parser.add_argument("--fault-model", default=None,

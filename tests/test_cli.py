@@ -62,7 +62,7 @@ class TestRunCommand:
 class TestAnalyzeCommand:
     def test_analyze_finds_err_outputs(self, capsys):
         code = main(["analyze", "--workload", "factorial", "--input", "5",
-                     "--error-class", "register", "--query", "err-output",
+                     "--fault-model", "register", "--query", "err-output",
                      "--max-injections", "8", "--max-states", "5000"])
         assert code == 0
         out = capsys.readouterr().out
@@ -168,11 +168,6 @@ class TestAnalyzeValidation:
             main(["analyze", "--workload", "factorial",
                   "--granularity", "task"])
 
-    def test_fault_model_and_error_class_are_mutually_exclusive(self):
-        with pytest.raises(SystemExit, match="mutually exclusive"):
-            main(["analyze", "--workload", "factorial",
-                  "--fault-model", "register", "--error-class", "register"])
-
     def test_seed_requires_sample(self):
         with pytest.raises(SystemExit, match="--sample"):
             main(["analyze", "--workload", "factorial", "--seed", "3"])
@@ -261,7 +256,8 @@ def fault_model_output(capsys, model, *arguments, workload="memory_walk"):
 
 class TestAnalyzeFaultModels:
     @pytest.mark.parametrize("model", ["register", "memory", "control",
-                                       "operand"])
+                                       "operand", "functional-unit", "decode",
+                                       "fetch"])
     def test_every_model_sweeps_and_reports(self, model, capsys):
         out = fault_model_output(capsys, model)
         assert f"fault model    : {model}" in out

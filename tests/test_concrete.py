@@ -7,6 +7,7 @@ from repro.concrete import (ConcreteCampaign, ConcreteSimulator, INT32_MAX, INT3
                             tcas_outcome_labels)
 from repro.constraints import Location
 from repro.errors import Injection
+from repro.faults import FaultSpec
 from repro.machine import Status
 from repro.programs import factorial_workload, sum_input_workload, tcas_workload
 
@@ -32,8 +33,9 @@ class TestConcreteSimulator:
         # corrupt the loop counter ($3) right before the first multiplication
         mult_pc = next(i for i, ins in enumerate(workload.program.code)
                        if ins.opcode == "mult")
-        injection = Injection(breakpoint_pc=mult_pc, target=Location.register(3))
-        run = simulator.run_with_injection(injection, 2, workload.default_input)
+        spec = FaultSpec(breakpoint_pc=mult_pc, target=Location.register(3),
+                         value=2)
+        run = simulator.run_with_spec(spec, workload.default_input)
         assert run.activated
         assert run.state.status is Status.HALTED
         assert run.output == ("Factorial = ", 2)
@@ -44,16 +46,17 @@ class TestConcreteSimulator:
         subi_pc = next(i for i, ins in enumerate(workload.program.code)
                        if ins.opcode == "subi")
         # making the counter huge turns the loop into (effectively) a hang
-        injection = Injection(breakpoint_pc=subi_pc, target=Location.register(3))
-        run = simulator.run_with_injection(injection, INT32_MAX, workload.default_input)
+        spec = FaultSpec(breakpoint_pc=subi_pc, target=Location.register(3),
+                         value=INT32_MAX)
+        run = simulator.run_with_spec(spec, workload.default_input)
         assert run.state.status is Status.TIMEOUT
 
     def test_unactivated_injection_reported(self):
         workload = factorial_workload()
         simulator = ConcreteSimulator(workload.program)
-        injection = Injection(breakpoint_pc=5, target=Location.register(1),
-                              occurrence=100)
-        run = simulator.run_with_injection(injection, 1, workload.default_input)
+        spec = FaultSpec(breakpoint_pc=5, target=Location.register(1),
+                         occurrence=100, value=1)
+        run = simulator.run_with_spec(spec, workload.default_input)
         assert not run.activated
 
 
@@ -141,6 +144,20 @@ class TestConcreteCampaign:
         # the correct answer still shows up for some (benign) injections
         assert result.distribution.count(str(golden[-1])) > 0
         assert "total faults" in result.describe()
+
+    def test_plan_is_one_value_carrying_spec_per_point_and_value(self):
+        workload = sum_input_workload(count=2, values=(3, 4))
+        campaign = ConcreteCampaign(workload.program,
+                                    input_values=workload.default_input)
+        points = campaign.enumerate_injections()
+        plan = campaign.plan(points)
+        policy = campaign.value_policy
+        assert [(spec.breakpoint_pc, spec.target, spec.value) for spec in plan] \
+            == [(point.breakpoint_pc, point.target, value) for point in points
+                for value in policy.values_for(point)]
+        assert all(spec.model == "register" for spec in plan)
+        result = campaign.run(injections=points[:1])
+        assert [e.injection for e in result.experiments] == plan[:6]
 
     def test_max_experiments_cap(self):
         workload = sum_input_workload(count=2, values=(3, 4))

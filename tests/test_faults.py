@@ -16,10 +16,12 @@ from hypothesis import strategies as st
 from repro.constraints import Location
 from repro.core import SymbolicCampaign, latent_err, output_contains_err, printed_value
 from repro.distributed import CampaignManifest, FilesystemBroker
-from repro.distributed.checkpoint import campaign_header
+from repro.core.campaign import InjectionResult
+from repro.distributed.checkpoint import CheckpointJournal, campaign_header
 from repro.faults import (FAULT_MODELS, ControlFlowFault, FaultSpec,
                           MemoryCellFault, RegisterValueFault,
                           deterministic_sample, fault_model)
+from repro.errors import registers_used_at
 from repro.isa import assemble
 from repro.isa.values import ERR
 from repro.net import BrokerServer, SocketBroker
@@ -48,11 +50,18 @@ def load_program():
 # ------------------------------------------------------------------ registry
 
 class TestRegistry:
-    def test_the_six_models_are_registered(self):
+    def test_the_nine_models_are_registered(self):
         assert sorted(FAULT_MODELS) == ["bitflip", "burst", "control",
+                                        "decode", "fetch", "functional-unit",
                                         "memory", "operand", "register"]
         for name, model in FAULT_MODELS.items():
             assert model.name == name
+
+    @pytest.mark.parametrize("name", ["register", "memory", "control",
+                                      "operand", "functional-unit", "decode",
+                                      "fetch"])
+    def test_lookup_returns_the_registered_instance(self, name):
+        assert fault_model(name) is FAULT_MODELS[name]
 
     def test_unknown_model_is_rejected_with_the_available_names(self):
         with pytest.raises(ValueError, match="register"):
@@ -76,14 +85,15 @@ class TestEnumerationDeterminism:
         assert first == second
         assert all(spec.model == name for spec in first)
 
-    def test_register_model_matches_the_extracted_legacy_sweep(self, factorial):
-        """RegisterValueFault is the old fixed sweep, extracted: same
-        breakpoints and targets as RegisterFileError's enumeration."""
-        from repro.errors import RegisterFileError
-        legacy = RegisterFileError().enumerate(factorial.program)
-        model = RegisterValueFault().enumerate(factorial.program)
-        assert ([(i.breakpoint_pc, i.target) for i in legacy]
-                == [(s.breakpoint_pc, s.target) for s in model])
+    def test_register_model_sweeps_every_used_register(self, factorial):
+        """RegisterValueFault is the paper's Section 6 sweep: one spec per
+        register each instruction uses, placed just before it."""
+        program = factorial.program
+        model = RegisterValueFault().enumerate(program)
+        assert ([(s.breakpoint_pc, s.target) for s in model]
+                == [(pc, Location.register(register))
+                    for pc in range(len(program))
+                    for register in registers_used_at(program, pc)])
 
     def test_memory_model_targets_known_cells_before_each_load(self, load_program):
         program, memory = load_program
@@ -103,13 +113,15 @@ class TestEnumerationDeterminism:
         specs = ControlFlowFault().enumerate(factorial.program)
         assert specs and all(s.target.kind == Location.PC for s in specs)
 
+    @pytest.mark.parametrize("name", ["register", "functional-unit",
+                                      "decode", "fetch"])
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
            k=st.integers(min_value=1, max_value=20))
     def test_sampling_is_deterministic_order_preserving_and_a_subset(
-            self, seed, k):
+            self, name, seed, k):
         program = load_workload("factorial").program
-        model = FAULT_MODELS["register"]
+        model = FAULT_MODELS[name]
         space = model.enumerate(program)
         sample = model.sample(program, k, seed=seed)
         assert sample == model.sample(program, k, seed=seed)
@@ -210,13 +222,8 @@ class TestCampaignPlanning:
                 for spec in campaign.plan_injections()}
         assert loud[1000].found_solutions and not loud[2000].found_solutions
 
-    def test_plan_injections_samples_legacy_error_classes_too(self, factorial):
-        campaign = SymbolicCampaign(factorial.program)
-        assert campaign.plan_injections(sample=4, seed=1) \
-            == campaign.plan_injections(sample=4, seed=1)
-        assert len(campaign.plan_injections(sample=4, seed=1)) == 4
-
-    @pytest.mark.parametrize("name", ["register", "control"])
+    @pytest.mark.parametrize("name", ["register", "control",
+                                      "functional-unit", "decode", "fetch"])
     def test_pool_run_is_identical_to_serial_for_a_model_campaign(self, name):
         campaign, query = factorial_campaign(fault_model=name,
                                              max_states_per_injection=4000)
@@ -237,7 +244,7 @@ class TestCampaignPlanning:
     def test_checkpoint_header_pins_the_fault_model(self, factorial):
         plain, _ = factorial_campaign()
         modelled, query = factorial_campaign(fault_model="operand")
-        assert campaign_header(plain, query)["fault_model"] is None
+        assert campaign_header(plain, query)["fault_model"] == "register"
         header = campaign_header(modelled, query)
         assert header["fault_model"] == "operand"
         assert header["semantics_digest"] \
@@ -276,13 +283,17 @@ def broker_pair(request, tmp_path):
         pair.close()
 
 
+CARRIED_MODELS = ["operand", "functional-unit", "decode", "fetch"]
+
+
 class TestManifestRoundTrip:
+    @pytest.mark.parametrize("name", CARRIED_MODELS)
     def test_fault_specs_and_model_survive_the_broker_unchanged(
-            self, broker_pair, factorial):
+            self, broker_pair, factorial, name):
         """The distributed/net manifests carry FaultSpecs (in chunk payloads)
         and the planning FaultModel (in the CampaignSpec) byte-faithfully."""
         campaign = SymbolicCampaign(factorial.program,
-                                    fault_model=FAULT_MODELS["operand"])
+                                    fault_model=FAULT_MODELS[name])
         chunk = tuple(campaign.plan_injections(sample=4, seed=9))
         manifest = CampaignManifest(
             campaign_spec=CampaignSpec.from_campaign(campaign),
@@ -293,7 +304,7 @@ class TestManifestRoundTrip:
         broker_pair.publisher.put_task(0, chunk)
 
         received = broker_pair.consumer.load_manifest(timeout=5)
-        assert received.campaign_spec.fault_model == FAULT_MODELS["operand"]
+        assert received.campaign_spec.fault_model == FAULT_MODELS[name]
         rebuilt = received.campaign_spec.build()
         assert rebuilt.fault_model == campaign.fault_model
 
@@ -303,3 +314,18 @@ class TestManifestRoundTrip:
         assert all(spec.value is ERR for spec in claim.payload)
         # The consumer re-plans the same space the coordinator planned.
         assert rebuilt.plan_injections(sample=4, seed=9) == list(chunk)
+
+    @pytest.mark.parametrize("name", CARRIED_MODELS)
+    def test_fault_specs_survive_pickle_and_the_checkpoint_journal(
+            self, name, factorial, tmp_path):
+        specs = FAULT_MODELS[name].plan(factorial.program, sample=4, seed=9)
+        assert pickle.loads(pickle.dumps(specs, protocol=4)) == specs
+        journal = CheckpointJournal(str(tmp_path / "journal.bin"))
+        journal.ensure_header({"model": name})
+        for spec in specs:
+            journal.append_result(spec, InjectionResult(injection=spec,
+                                                        activated=False))
+        completed = CheckpointJournal(journal.path).load_completed(
+            expect_header={"model": name})
+        assert [result.injection for result in completed.values()] == specs
+        assert list(completed) == [spec.label() for spec in specs]

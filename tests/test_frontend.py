@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import SearchQuery
-from repro.frontend import (MipsTranslationError, QUERY_KINDS, generate,
+from repro.frontend import (MipsTranslationError, QUERY_KINDS,
                             generate_campaign, generate_query,
                             translate_mips)
 from repro.machine import Status, initial_state, run_concrete
@@ -117,38 +117,14 @@ class TestQueryGenerator:
         with pytest.raises(ValueError):
             generate_query("definitely-not-a-kind", golden_output=(1,))
 
-    def test_generate_pairs_query_with_error_class(self):
-        generated = generate("crash", "fetch")
-        assert generated.error_class_name == "fetch"
-        assert "fetch" in generated.describe()
-
-    # Legacy-path regression: error_category= must keep working (it now
-    # warns; behaviour stays identical to the fault-model-free default).
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     def test_generate_campaign_end_to_end(self):
         workload = sum_input_workload(count=2, values=(3, 4))
         campaign, query = generate_campaign(
-            workload, kind="wrong-final-value", error_category="register",
+            workload, kind="wrong-final-value", fault_model="register",
             max_solutions_per_injection=5, max_states_per_injection=5_000)
         injections = campaign.enumerate_injections()[:5]
         result = campaign.run(query, injections=injections)
         assert result.injections_run == 5
-
-    def test_explicit_error_category_warns_but_plans_identically(self):
-        workload = sum_input_workload(count=2, values=(3, 4))
-        with pytest.deprecated_call():
-            legacy_campaign, _ = generate_campaign(
-                workload, kind="err-output", error_category="register")
-        default_campaign, _ = generate_campaign(workload, kind="err-output")
-        assert ([(i.breakpoint_pc, i.target) for i
-                 in legacy_campaign.enumerate_injections()]
-                == [(i.breakpoint_pc, i.target) for i
-                    in default_campaign.enumerate_injections()])
-
-    def test_workload_campaign_error_category_warns(self):
-        with pytest.deprecated_call():
-            factorial_workload().campaign(kind="err-output",
-                                          error_category="register")
 
     def test_generate_campaign_defaults_expected_value_from_golden_run(self):
         workload = factorial_workload()

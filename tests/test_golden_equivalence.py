@@ -5,7 +5,10 @@
 subsets the parallel benchmarks exercise.  The refactor promises a
 byte-identical ``CampaignResult`` — same injections, activation flags,
 completion flags, and per-solution outputs/statuses/depths/outcomes in the
-same order — for the serial sweep AND the 2-worker parallel sweep.
+same order — for the serial sweep AND the 2-worker parallel sweep.  The
+injection labels carry the ``[register] `` prefix of a register-model
+:class:`~repro.faults.FaultSpec`; dropping that prefix gives the seed file
+byte-for-byte.
 """
 
 import json
@@ -14,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import SymbolicCampaign, classify
-from repro.errors import RegisterFileError
+from repro.faults import RegisterValueFault
 from repro.isa.values import is_err
 from repro.machine import ExecutionConfig
 from repro.parallel import ParallelConfig, QuerySpec, run_campaign_parallel
@@ -49,7 +52,7 @@ def tcas_campaign():
         workload.program,
         input_values=workload.default_input,
         memory=workload.data_segment,
-        error_class=RegisterFileError(),
+        fault_model=RegisterValueFault(),
         execution_config=ExecutionConfig(max_steps=3_000,
                                          control_fork_domain="labels",
                                          max_control_forks=2_048,
@@ -71,7 +74,7 @@ def replace_campaign():
         workload.program,
         input_values=workload.default_input,
         memory=workload.data_segment,
-        error_class=RegisterFileError(),
+        fault_model=RegisterValueFault(),
         execution_config=ExecutionConfig(max_steps=40_000,
                                          control_fork_domain="labels",
                                          max_control_forks=64,

@@ -1,16 +1,17 @@
-"""Tests for the error-injection sub-model and the Table 1 error classes."""
+"""Tests for the error-injection sub-model and the Table 1 fault models."""
 
 import pytest
 
-from repro.constraints import Location
-from repro.errors import (BusError, ControlFlowError, DecodeError, FetchError,
-                          FunctionalUnitError, Injection, MemoryError,
-                          RegisterFileError, STANDARD_ERROR_CLASSES,
-                          apply_corruption, error_class, prepare_injected_state,
-                          register_injection_points, registers_used_at)
+from repro.constraints import ComparisonOp, Constraint, Location
+from repro.errors import Injection, prepare_injected_state, registers_used_at
+from repro.faults import (FAULT_MODELS, ControlFlowFault, DecodeFault,
+                          FaultSpec, FetchFault, FunctionalUnitFault,
+                          InstructionOperandFault, MemoryCellFault,
+                          fault_model)
 from repro.isa.parser import assemble
 from repro.isa.values import ERR, is_err
 from repro.machine import initial_state
+from repro.machine.executor import apply_fault_set
 from repro.programs import factorial_workload, call_max_workload
 
 
@@ -26,30 +27,42 @@ skip:   halt
 """)
 
 
-class TestApplyCorruption:
+def corrupt(state, target, value=ERR):
+    apply_fault_set(state, (FaultSpec(breakpoint_pc=0, target=target,
+                                      value=value),))
+
+
+class TestApplyFaultSet:
     def test_register_corruption(self):
         state = initial_state()
-        apply_corruption(state, Location.register(5), ERR)
+        corrupt(state, Location.register(5))
         assert is_err(state.read_register(5))
 
     def test_zero_register_cannot_be_corrupted(self):
         state = initial_state()
-        apply_corruption(state, Location.register(0), ERR)
+        corrupt(state, Location.register(0))
         assert state.read_register(0) == 0
 
     def test_memory_corruption(self):
         state = initial_state(memory={100: 3})
-        apply_corruption(state, Location.memory(100), ERR)
+        corrupt(state, Location.memory(100))
         assert is_err(state.read_memory(100))
 
     def test_pc_corruption(self):
         state = initial_state()
-        apply_corruption(state, Location.pc(), ERR)
+        corrupt(state, Location.pc())
         assert is_err(state.pc)
+
+    def test_pc_corruption_drops_the_stale_pc_constraint(self):
+        state = initial_state()
+        state.constraints = state.constraints.with_constraint(
+            Location.pc(), Constraint(ComparisonOp.GT, 3))
+        corrupt(state, Location.pc())
+        assert Location.pc() not in state.constraints
 
     def test_concrete_value_corruption(self):
         state = initial_state()
-        apply_corruption(state, Location.register(5), 12345)
+        corrupt(state, Location.register(5), 12345)
         assert state.read_register(5) == 12345
 
 
@@ -75,22 +88,7 @@ class TestRegistersUsedAt:
         assert registers_used_at(PROGRAM, 999) == ()
 
 
-# Legacy-path regression tests: the public helper now warns (steering
-# callers to repro.faults) but must keep planning the identical sweep.
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 class TestInjectionPoints:
-    def test_register_injection_points_follow_usage(self):
-        injections = register_injection_points(PROGRAM)
-        by_pc = {}
-        for injection in injections:
-            by_pc.setdefault(injection.breakpoint_pc, []).append(injection.target.index)
-        assert by_pc[4] == [3, 1, 4]
-        assert 7 not in by_pc          # halt uses no registers
-
-    def test_restricted_sweep(self):
-        injections = register_injection_points(PROGRAM, pcs=[4])
-        assert {i.breakpoint_pc for i in injections} == {4}
-
     def test_injection_label_is_informative(self):
         injection = Injection(breakpoint_pc=4, target=Location.register(3),
                               description="example")
@@ -127,71 +125,56 @@ class TestPrepareInjectedState:
         assert first.steps < third.steps
 
 
-class TestErrorClasses:
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
-    def test_register_class_matches_helper(self):
-        injections = RegisterFileError().enumerate(PROGRAM)
-        helper = register_injection_points(PROGRAM)
-        assert [(i.breakpoint_pc, i.target) for i in injections] == \
-            [(i.breakpoint_pc, i.target) for i in helper]
+class TestTable1Models:
+    """The Table 1 rows, each planned by its registered fault model."""
 
-    def test_bus_error_targets_sources_only(self):
-        injections = BusError().enumerate(PROGRAM, pcs=[4])
-        assert {i.target.index for i in injections} == {3, 1}
+    def test_bus_row_targets_sources_only(self):
+        specs = InstructionOperandFault().enumerate(PROGRAM, pcs=[4])
+        assert {s.target.index for s in specs} == {3, 1}
 
     def test_functional_unit_targets_destination_after_instruction(self):
-        injections = FunctionalUnitError().enumerate(PROGRAM, pcs=[4])
-        assert all(i.breakpoint_pc == 5 for i in injections)
-        assert {i.target.index for i in injections} == {4}
+        specs = FunctionalUnitFault().enumerate(PROGRAM, pcs=[4])
+        assert all(s.breakpoint_pc == 5 for s in specs)
+        assert {s.target.index for s in specs} == {4}
 
-    def test_decode_error_covers_instructions_without_destinations(self):
-        injections = DecodeError().enumerate(PROGRAM, pcs=[2])  # sti has no dest
-        assert {i.target.index for i in injections} == {1, 2}
+    def test_decode_covers_instructions_without_destinations(self):
+        specs = DecodeFault().enumerate(PROGRAM, pcs=[2])  # sti has no dest
+        assert {s.target.index for s in specs} == {1, 2}
+        assert all(s.breakpoint_pc == 2 for s in specs)
 
-    def test_fetch_error_targets_pc_everywhere(self):
-        injections = FetchError().enumerate(PROGRAM)
-        assert len(injections) == len(PROGRAM)
-        assert all(i.target.kind == Location.PC for i in injections)
+    def test_decode_corrupts_destinations_after_instruction(self):
+        specs = DecodeFault().enumerate(PROGRAM, pcs=[4])
+        assert [(s.breakpoint_pc, s.target.index) for s in specs] == [(5, 4)]
 
-    def test_control_flow_error_only_at_transfers(self):
-        injections = ControlFlowError().enumerate(PROGRAM)
-        assert {i.breakpoint_pc for i in injections} == {5}
+    def test_fetch_targets_pc_everywhere(self):
+        specs = FetchFault().enumerate(PROGRAM)
+        assert len(specs) == len(PROGRAM)
+        assert all(s.target.kind == Location.PC for s in specs)
 
-    def test_memory_error_follows_loads(self):
-        injections = MemoryError().enumerate(PROGRAM)
-        assert len(injections) == 1
-        assert injections[0].breakpoint_pc == 4  # right after the ldi
+    def test_control_flow_only_at_transfers(self):
+        specs = ControlFlowFault().enumerate(PROGRAM)
+        assert {s.breakpoint_pc for s in specs} == {5}
 
-    def test_memory_error_with_explicit_addresses(self):
-        injections = MemoryError(addresses=[500]).enumerate(PROGRAM, pcs=[3])
-        assert injections[0].target == Location.memory(500)
+    def test_memory_follows_loads(self):
+        specs = MemoryCellFault().enumerate(PROGRAM)
+        assert len(specs) == 1
+        assert specs[0].breakpoint_pc == 4  # right after the ldi
+
+    def test_memory_with_a_data_segment_targets_its_cells(self):
+        specs = MemoryCellFault().enumerate(PROGRAM, memory={500: 0}, pcs=[3])
+        assert specs[0].target == Location.memory(500)
 
     def test_registry(self):
-        assert set(STANDARD_ERROR_CLASSES) == {
-            "register", "memory", "bus", "functional-unit", "decode", "fetch",
-            "control-flow"}
-        assert isinstance(error_class("register"), RegisterFileError)
+        assert {"register", "memory", "operand", "functional-unit", "decode",
+                "fetch", "control"} <= set(FAULT_MODELS)
+        assert isinstance(fault_model("fetch"), FetchFault)
         with pytest.raises(ValueError):
-            error_class("cosmic-ray")
+            fault_model("cosmic-ray")
 
-    def test_classes_enumerate_against_real_workload(self):
+    def test_models_enumerate_against_real_workload(self):
         workload = call_max_workload()
-        for name, cls in STANDARD_ERROR_CLASSES.items():
-            injections = cls.enumerate(workload.program)
-            assert isinstance(injections, list)
-            for injection in injections:
-                assert 0 <= injection.breakpoint_pc <= len(workload.program)
-
-
-class TestInjectorDeprecation:
-    def test_register_injection_points_warns(self):
-        with pytest.deprecated_call():
-            register_injection_points(PROGRAM)
-
-    def test_deprecated_helper_matches_fault_registry_plan(self):
-        from repro.faults import FAULT_MODELS
-        with pytest.deprecated_call():
-            legacy = register_injection_points(PROGRAM)
-        planned = FAULT_MODELS["register"].enumerate(PROGRAM)
-        assert ([(i.breakpoint_pc, i.target) for i in legacy]
-                == [(i.breakpoint_pc, i.target) for i in planned])
+        for model in FAULT_MODELS.values():
+            specs = model.enumerate(workload.program)
+            assert isinstance(specs, list)
+            for spec in specs:
+                assert 0 <= spec.breakpoint_pc <= len(workload.program)
